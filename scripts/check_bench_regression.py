@@ -14,8 +14,7 @@ Checks, mirroring what the bench itself promises:
   ``min_wheel_ratio`` times the heap's (default 1.0x) in the fresh run:
   a wheel slower than the reference heap means the default kernel
   regressed;
-* the cluster sweep reports must be byte-identical under heap vs wheel
-  and coalescing on vs off;
+* the cluster sweep reports must be byte-identical under heap vs wheel;
 * the wheel's generator-dispatch throughput (interleaved heap/wheel
   arms, 512 tickers -- the concurrency cluster sweeps actually run at)
   must be at least ``min_dispatch_ratio`` times the heap's (default
@@ -31,12 +30,13 @@ Checks, mirroring what the bench itself promises:
   events/sec (default 2x) at 100 nodes -- both arms run fresh in the
   current record, so this is a within-run floor, not a baseline ratio --
   and the two planes' churned sweep reports must be byte-identical;
-* the async dispatch core must beat the static pool by at least
+* the async dispatch core's longest-expected-first order must beat a
+  shortest-first order of the same core over the same pool by at least
   ``min_dispatch_core`` (default 1.3x) on the skewed cell mix --
   within-run, like the cluster-rate floor -- whenever the record shows
   at least two effective workers (a single-core runner serialises both
   arms, so the ratio measures nothing there and only the identity
-  checks apply); the static and core arms' merged reports, and the
+  checks apply); the shortest-first and core arms' merged reports, and the
   sharded 1,000-node sweep's merged reports across every executor
   transport and pool size, must be byte-identical unconditionally;
 * the profiling stage's wall-clock per probe run must not exceed
@@ -186,14 +186,13 @@ def check(current: dict, baseline: dict, max_ratio: float,
         print(
             f"cluster sweep ({cluster['n_nodes']} nodes): heap "
             f"{cluster['heap_wall_s']:.2f}s, wheel "
-            f"{cluster['wheel_wall_s']:.2f}s, wheel+coalesce "
-            f"{cluster['wheel_coalesced_wall_s']:.2f}s, identical="
+            f"{cluster['wheel_wall_s']:.2f}s, identical="
             f"{cluster['identical_reports']}"
         )
         if not cluster["identical_reports"]:
             failures.append(
-                "cluster sweep reports differ across kernels/coalescing: "
-                "the calendar or coalescing changed experiment output"
+                "cluster sweep reports differ across kernels: "
+                "the calendar changed experiment output"
             )
 
     rate = current.get("cluster_rate")
@@ -243,7 +242,8 @@ def check(current: dict, baseline: dict, max_ratio: float,
         speedup = mix.get("speedup") or 0.0
         print(
             f"dispatch core ({workers} workers, {mix['n_cheap']} short + "
-            f"1 long cell): static {mix['static_wall_s']:.2f}s, core "
+            f"1 long cell): shortest-first "
+            f"{mix['shortest_first_wall_s']:.2f}s, core "
             f"{mix['core_wall_s']:.2f}s, speedup {speedup:.2f}x "
             f"(floor {min_dispatch_core:.2f}x at >= 2 workers); "
             f"mix identical={mix['identical_merged_results']}, sharded "
@@ -254,15 +254,15 @@ def check(current: dict, baseline: dict, max_ratio: float,
         # arms and the ratio measures the OS, not the dispatch policy.
         if workers >= 2 and speedup < min_dispatch_core:
             failures.append(
-                f"dispatch core is only {speedup:.2f}x the static pool "
-                f"on the skewed mix at {workers} workers (floor "
+                f"dispatch core is only {speedup:.2f}x its shortest-first "
+                f"order on the skewed mix at {workers} workers (floor "
                 f"{min_dispatch_core:.2f}x): the LPT ready queue "
                 f"regressed"
             )
         if not mix["identical_merged_results"]:
             failures.append(
-                "static-pool and dispatch-core merged results differ: "
-                "the dispatch core changed experiment output"
+                "shortest-first and longest-first merged results differ: "
+                "the dispatch order changed experiment output"
             )
         if not dc["sharded_sweep"]["identical_merged_results"]:
             failures.append(
@@ -404,7 +404,7 @@ def main(argv=None) -> int:
                         help="required vectorized-vs-scalar cluster "
                              "data-plane events/sec ratio (default 2.0)")
     parser.add_argument("--min-dispatch-core", type=float, default=1.3,
-                        help="required dispatch-core-vs-static-pool "
+                        help="required longest-first-vs-shortest-first "
                              "skewed-mix speedup when the record shows "
                              ">= 2 effective workers (default 1.3)")
     args = parser.parse_args(argv)

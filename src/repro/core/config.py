@@ -74,15 +74,6 @@ class HolmesConfig:
     #: this many non-reserved CPUs are exempt from LC expansion so batch
     #: jobs always make some progress.  0 = the paper's default behaviour.
     batch_guaranteed_cpus: int = 0
-    #: quiescent tick coalescing: while the daemon is in pure telemetry
-    #: mode on a node that has never run anything (no LC service, no
-    #: containers, all usage/VPI state exactly zero), stretch the tick
-    #: interval up to this many intervals, snapping back to ``interval_us``
-    #: on the first activation edge (quantum start, cgroup creation, or LC
-    #: registration).  Skipped ticks are provable no-ops, so telemetry and
-    #: scheduling behaviour are unchanged.  1 = disabled (paper-fidelity
-    #: default; every figure experiment ticks every interval).
-    coalesce_idle_ticks: int = 1
 
     # -- robustness / graceful degradation --------------------------------
     #: bounded retries of a failed counter read within one window.  The
@@ -124,8 +115,6 @@ class HolmesConfig:
                              f"got {self.metric_mode!r}")
         if self.batch_guaranteed_cpus < 0:
             raise ValueError("batch_guaranteed_cpus must be >= 0")
-        if self.coalesce_idle_ticks < 1:
-            raise ValueError("coalesce_idle_ticks must be >= 1")
         if self.counter_read_retries < 1:
             raise ValueError("counter_read_retries must be >= 1")
         if self.stale_hold_windows < 1:

@@ -356,21 +356,6 @@ class MetricMonitor:
         for status in self.lc_services.values():
             status.last_cputime = status.process.cputime_us
 
-    def resync_idle(self, t: float) -> None:
-        """Fast-forward the sampling clocks to ``t`` without collecting.
-
-        Used by the daemon's quiescent tick coalescing.  When the node has
-        never run anything (no LC services, no containers, usage/VPI and
-        both EMAs exactly zero), a :meth:`collect` at a skipped tick
-        boundary is bitwise a no-op -- ``ema += alpha * (0 - 0)`` changes
-        nothing for any ``alpha`` -- except for advancing the two window
-        clocks.  This advances them directly, so the first tick after a
-        stretched sleep sees exactly the window the uncoalesced daemon
-        would have seen.
-        """
-        self._last_time = t
-        self.usage_tracker.resync(t)
-
     def _update_lc_statuses(self, dt: float, alpha: float) -> None:
         cfg = self.config
         for status in self.lc_services.values():

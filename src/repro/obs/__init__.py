@@ -5,7 +5,7 @@ it produced.  Three layers:
 
 * :mod:`repro.obs.bus` — a deterministic, sim-time-stamped event bus.
   Producers (daemon, monitor, scheduler, cluster scheduler, fault
-  injector, runner) emit typed structured events into a bounded
+  injector) emit typed structured events into a bounded
   columnar buffer; every scheduler deallocate/restore/expand action
   carries a *decision audit record* (observed VPI vs E, usage vs T,
   S-countdown state, degraded-mode flag) so Algorithm 1–3 transitions
@@ -26,9 +26,9 @@ it produced.  Three layers:
 The determinism contract: events are stamped with *simulation* time and
 emitted in simulation order, so two runs with identical seeds and plans
 produce byte-identical event streams — regardless of ``--parallel``
-fan-out, result caching, or wall-clock jitter.  Runner-level events are
-the one exception (they time real work, so they carry wall-clock
-durations) and are therefore kept out of every byte-compared artifact.
+fan-out, result caching, or wall-clock jitter.  The runner's wall-clock
+spans live in :mod:`repro.obs.runner`, beside every byte-compared
+artifact, never inside one.
 
 Zero-cost when disabled: consumers hold ``obs=None`` and guard every
 emission behind a single ``is not None`` / precomputed-capability check;

@@ -54,22 +54,10 @@ class UsageTracker:
         self._last_time = now
         return usage
 
-    def resync(self, t: float) -> None:
-        """Fast-forward the window start to ``t`` without sampling.
-
-        Only valid when no busy time accrued since the last sample (the
-        quiescent-coalescing case): the busy baseline is left untouched.
-        """
-        if self._hub is not None:
-            self._hub.resync(self._node, t)
-            return
-        self._last_time = t
-
     def rebaseline(self) -> None:
         """Restart the window from the current busy counters and clock.
 
-        Unlike :meth:`resync`, this is valid after arbitrary activity --
-        a restarted daemon uses it so the stopped span's busy time does
+        A restarted daemon uses it so the stopped span's busy time does
         not pollute its first window.
         """
         if self._hub is not None:

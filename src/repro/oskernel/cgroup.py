@@ -113,10 +113,6 @@ class CgroupFS:
     def __init__(self, system: Optional["System"] = None):
         self.system = system
         self.root = Cgroup(self, "", None)
-        #: optional ``fn(path)`` fired when :meth:`create` makes a new
-        #: directory -- the container-launch activation edge for the
-        #: Holmes daemon's coalesced idle ticks.  None = disabled.
-        self.on_create = None
         #: optional ``fn(op, path) -> bool`` consulted before writes and
         #: attaches; returning True fails the operation with
         #: :class:`CgroupError`.  The fault injector's hook point.
@@ -135,14 +131,10 @@ class CgroupFS:
     def create(self, path: str) -> Cgroup:
         """mkdir -p semantics."""
         node = self.root
-        created = False
         for part in self._resolve(path):
             if part not in node.children:
                 node.children[part] = Cgroup(self, part, node)
-                created = True
             node = node.children[part]
-        if created and self.on_create is not None:
-            self.on_create(path)
         return node
 
     def get(self, path: str) -> Cgroup:

@@ -53,7 +53,6 @@ from repro.runner.resilience import (
     SweepJournal,
 )
 from repro.runner.runner import (
-    DISPATCH_MODES,
     CellExecutionError,
     ExperimentRunner,
     RunReport,
@@ -92,7 +91,6 @@ __all__ = [
     "ChaosFault",
     "RetryPolicy",
     "SweepJournal",
-    "DISPATCH_MODES",
     "CellExecutionError",
     "ExperimentRunner",
     "RunReport",

@@ -15,16 +15,17 @@ trajectory is tracked from PR to PR:
   at small populations the kernels are within noise of each other and
   dispatch cost dominates; the wheel pulls away as the pending-set
   grows and heap sifts go O(log n) over a cache-hostile array.
-* **cluster** -- wall-clock of the 100-node churn sweep under heap,
-  wheel, and wheel + quiescent tick coalescing, with a byte-identity
-  check across all three reports (speed that changes results is a bug).
+* **cluster** -- wall-clock of the 100-node churn sweep under the heap
+  and the wheel, with a byte-identity check across the two reports
+  (speed that changes results is a bug).
 * **sweep** -- serial vs parallel wall-clock of a 4-experiment
   co-location sweep through the runner (cache + process fan-out), with
   the serial/parallel byte-identity check.
-* **dispatch_core** -- the async dispatch core against the static pool
-  on a skewed cell mix (one long cell hidden at the end of a pile of
-  short ones: the head-of-line shape the longest-expected-first ready
-  queue exists for), plus a 1,000-node sharded cluster sweep run through
+* **dispatch_core** -- the async dispatch core's longest-expected-first
+  order against a shortest-first order of the same core on a skewed cell
+  mix (one long cell hidden at the end of a pile of short ones: the
+  head-of-line shape the longest-expected-first ready queue exists
+  for), plus a 1,000-node sharded cluster sweep run through
   every executor transport and two pool sizes with a byte-identity
   check across all merged reports.  The skewed-mix speedup is gated in
   CI (>= 1.3x) whenever the record shows at least two effective
@@ -92,7 +93,6 @@ KERNEL_POPULATIONS_QUICK = (1_024,)
 
 #: cluster bench shape (full / --quick).
 CLUSTER_NODES = 100
-CLUSTER_COALESCE = 32
 
 
 def _flood_period(i: int) -> float:
@@ -276,9 +276,8 @@ def bench_kernel(quick: bool = False) -> tuple[dict, dict]:
 
 
 def bench_cluster(quick: bool = False, seed: int = 42) -> dict:
-    """Wall-clock of the 100-node churn sweep: heap vs wheel vs
-    wheel + quiescent tick coalescing, with byte-identity across all
-    three reports."""
+    """Wall-clock of the 100-node churn sweep: heap vs wheel, with
+    byte-identity across the two reports."""
     import os
 
     from repro.analysis.export import canonical_dumps
@@ -289,12 +288,12 @@ def bench_cluster(quick: bool = False, seed: int = 42) -> dict:
     kw = dict(policy="score", n_nodes=CLUSTER_NODES, n_jobs=n_jobs,
               duration_us=duration_us, seed=seed)
 
-    def one(calendar: str, coalesce: int) -> tuple[float, str]:
+    def one(calendar: str) -> tuple[float, str]:
         prev = os.environ.get("REPRO_SIM_CALENDAR")
         os.environ["REPRO_SIM_CALENDAR"] = calendar
         try:
             t0 = time.perf_counter()
-            report = run_cluster_sweep(**kw, coalesce_idle_ticks=coalesce)
+            report = run_cluster_sweep(**kw)
             wall = time.perf_counter() - t0
         finally:
             if prev is None:
@@ -303,24 +302,16 @@ def bench_cluster(quick: bool = False, seed: int = 42) -> dict:
                 os.environ["REPRO_SIM_CALENDAR"] = prev
         return wall, canonical_dumps(report)
 
-    heap_wall, heap_bytes = one("heap", 1)
-    wheel_wall, wheel_bytes = one("wheel", 1)
-    co_wall, co_bytes = one("wheel", CLUSTER_COALESCE)
+    heap_wall, heap_bytes = one("heap")
+    wheel_wall, wheel_bytes = one("wheel")
     return {
         "n_nodes": CLUSTER_NODES,
         "n_jobs": n_jobs,
         "duration_us": duration_us,
         "seed": seed,
-        "coalesce_idle_ticks": CLUSTER_COALESCE,
         "heap_wall_s": heap_wall,
         "wheel_wall_s": wheel_wall,
-        "wheel_coalesced_wall_s": co_wall,
-        "coalesced_speedup_vs_heap": (
-            heap_wall / co_wall if co_wall > 0 else None
-        ),
-        "identical_reports": (
-            heap_bytes == wheel_bytes == co_bytes
-        ),
+        "identical_reports": heap_bytes == wheel_bytes,
     }
 
 
@@ -447,16 +438,17 @@ def bench_cluster_rate(quick: bool = False, seed: int = 42) -> dict:
 
 def bench_dispatch_core(parallel: int = 8, quick: bool = False,
                         seed: int = 42) -> dict:
-    """The async dispatch core vs the static pool, plus executor identity.
+    """The dispatch core's LPT order vs shortest-first, plus executor identity.
 
     Two measurements:
 
     * **skewed_mix** -- a pile of short colocation cells with one long
-      cell appended *last*.  The static pool dispatches in input order,
-      so the long cell starts only after every short one has been handed
-      out and the tail of the run is one worker grinding alone; the
-      dispatch core's cost model puts the long cell first and back-fills
-      the short ones around it.  With ``W`` seconds of short work sized
+      cell appended *last*.  The baseline arm runs the same dispatch core
+      over the same pool, fed shortest-first ``cost_hints``, so the long
+      cell starts only after every short one has been handed out and the
+      tail of the run is one worker grinding alone; the core arm's cost
+      model puts the long cell first and back-fills the short ones
+      around it.  With ``W`` seconds of short work sized
       at ``0.8 * (workers - 1) * heavy_wall``, the expected ratio is
       ``1 + 0.8 * (workers - 1) / workers`` (1.4x at two workers, 1.6x
       at four) against the CI floor of 1.3x.  Arms are interleaved and
@@ -477,7 +469,7 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
     """
     import os
 
-    from repro.runner.aggregate import ExperimentRequest
+    from repro.runner.aggregate import ExperimentRequest, expand_request
 
     eff = max(1, min(parallel, os.cpu_count() or 1))
     heavy_us = 100_000.0 if quick else 200_000.0
@@ -506,25 +498,34 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
     n_cheap = max(eff, min(96, round(0.8 * max(eff - 1, 1) * ratio)))
     requests = [colo(cheap_us, seed + 10 + i) for i in range(n_cheap)]
     requests.append(colo(heavy_us, seed + 1))
+    # shortest-first: a cell's hint is the inverse of its simulated
+    # duration, so the long cell sorts last, where the input order
+    # puts it.
+    shortest_first = {
+        cell.cell_id: 1.0 / cell.param_dict["duration_us"]
+        for req in requests
+        for _role, cell in expand_request(req)
+    }
+    arms = {"shortest_first": shortest_first, "core": None}
 
-    def one_mix(dispatch: str) -> tuple[float, bytes]:
+    def one_mix(arm: str) -> tuple[float, bytes]:
         runner = ExperimentRunner(
             parallel=eff,
-            dispatch=dispatch,
-            executor="pool" if dispatch == "core" else None,
+            executor="pool",
             speculate=0,
+            cost_hints=arms[arm],
         )
         report = runner.run(requests)
         return report.wall_s, report.merged_bytes()
 
-    walls: dict[str, list[float]] = {"static": [], "core": []}
+    walls: dict[str, list[float]] = {arm: [] for arm in arms}
     blobs: dict[str, bytes] = {}
     for _ in range(repeats):
-        for arm in ("static", "core"):
+        for arm in arms:
             wall, blob = one_mix(arm)
             walls[arm].append(wall)
             blobs[arm] = blob
-    static_wall = min(walls["static"])
+    baseline_wall = min(walls["shortest_first"])
     core_wall = min(walls["core"])
 
     shard_req = [
@@ -568,10 +569,12 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
             "cheap_wall_s": cheap_wall,
             "heavy_wall_s": heavy_wall,
             "repeats": repeats,
-            "static_wall_s": static_wall,
+            "shortest_first_wall_s": baseline_wall,
             "core_wall_s": core_wall,
-            "speedup": static_wall / core_wall if core_wall > 0 else None,
-            "identical_merged_results": blobs["static"] == blobs["core"],
+            "speedup": baseline_wall / core_wall if core_wall > 0 else None,
+            "identical_merged_results": (
+                blobs["shortest_first"] == blobs["core"]
+            ),
         },
         "sharded_sweep": {
             "n_nodes": 1000,

@@ -1,10 +1,9 @@
 """The async dispatch core: cost-ordered ready queue over any executor.
 
-The old runner submitted every cell to a static process pool up front
-and collected futures in submission order; a skewed mix (one 200-job
-cluster sweep next to dozens of cheap probes) left most of the pool
-idle behind the straggler.  :class:`DispatchCore` replaces that with a
-shared ready queue:
+A skewed mix (one 200-job cluster sweep next to dozens of cheap probes)
+dispatched in input order leaves most of the pool idle behind the
+straggler.  :class:`DispatchCore` avoids that with a shared ready
+queue:
 
 * cells are ordered **longest-expected-first** by a :class:`CostModel`
   seeded from cached timings (falling back to a static per-kind
@@ -127,8 +126,7 @@ class DispatchCore:
 
     ``run`` returns ``(payload, compute_seconds)`` pairs aligned with
     the input cell list.  Duplicate cells (the legacy ``dedupe=False``
-    path) are independent slots and each executes once, exactly like
-    the static runner.
+    path) are independent slots and each executes once.
 
     ``local_retry`` is the parent-side backfill: called with (cell,
     last_error) when a remote attempt failed, it must either return a
@@ -137,8 +135,8 @@ class DispatchCore:
     the runner writes the cache through it, so a killed sweep keeps
     every completed cell.  ``on_event`` observes the core's own recovery
     decisions (``backfill``, ``speculate``, ``transport_lost``) with
-    audit fields; the runner forwards them to the obs plane and the
-    sweep journal.
+    audit fields; the runner forwards them to the sweep journal and the
+    runner telemetry.
 
     ``telemetry`` (a :class:`~repro.obs.runner.RunnerTelemetry`) arms the
     wall-clock span layer: one ``cell`` span per slot, one

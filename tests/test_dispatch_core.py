@@ -77,6 +77,20 @@ def test_dispatch_orders_longest_expected_first():
     assert seen == [3, 2, 1, 0], "most expensive cell must dispatch first"
 
 
+@pytest.mark.parametrize(
+    "removed",
+    [{"dispatch": "static"}, {"dispatch": "core"}, {"obs": "all"}],
+    ids=["dispatch-static", "dispatch-core", "obs"],
+)
+def test_runner_rejects_removed_options(removed):
+    # one dispatch path and no obs-bus event stream: the old keywords
+    # must fail loudly rather than be silently ignored.
+    from repro.runner import ExperimentRunner
+
+    with pytest.raises(TypeError, match=next(iter(removed))):
+        ExperimentRunner(**removed)
+
+
 # -- alignment and duplicates --------------------------------------------------
 
 

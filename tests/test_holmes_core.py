@@ -247,6 +247,28 @@ def test_daemon_tick_rate():
     assert holmes.ticks == pytest.approx(200, abs=2)  # 10ms / 50us
 
 
+@pytest.mark.parametrize("until_us", [10_000.0, 10_500.0, 99_999.0, 100_000.0])
+def test_idle_telemetry_daemon_ticks_every_interval(until_us):
+    """No LC service, nothing running: the loop still ticks on every
+    interval boundary."""
+    system = small_system()
+    holmes = Holmes(system, HolmesConfig(interval_us=1_000.0))
+    holmes.start()
+    system.run(until=until_us)
+    assert holmes.ticks == int(until_us // 1_000.0)
+    assert "skipped_idle_ticks" not in holmes.estimated_overhead()
+
+
+def test_tick_coalescing_option_is_gone():
+    from repro.cluster.sweep import run_cluster_sweep
+
+    with pytest.raises(TypeError, match="coalesce_idle_ticks"):
+        HolmesConfig(coalesce_idle_ticks=32)
+    with pytest.raises(TypeError, match="coalesce_idle_ticks"):
+        run_cluster_sweep(n_nodes=1, n_jobs=1, duration_us=1_000.0,
+                          coalesce_idle_ticks=32)
+
+
 def test_daemon_double_start_rejected():
     system = small_system()
     holmes = Holmes(system)

@@ -8,6 +8,7 @@ and the journal proves which cells a resumed sweep actually recomputed.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -209,11 +210,6 @@ def test_resume_validation():
         ExperimentRunner(resume=True)
     with pytest.raises(ValueError, match="cache"):
         ExperimentRunner(journal="journal.jsonl", resume=True)
-    with pytest.raises(ValueError, match="dispatch"):
-        ExperimentRunner(
-            chaos_plan=transport_chaos_plan(kill_rate=0.1),
-            dispatch="static",
-        )
 
 
 def test_resume_reuses_cache_and_recomputes_only_unfinished(tmp_path):
@@ -234,6 +230,68 @@ def test_resume_reuses_cache_and_recomputes_only_unfinished(tmp_path):
     resume_recs = [r for r in records if r["rec"] == "resume"]
     assert len(resume_recs) == 1
     assert resume_recs[0]["recovered"] == 2
+
+
+def test_journal_in_the_older_start_format_still_works(tmp_path):
+    """A journal whose ``start`` record still carries ``"dispatch":
+    "core"`` (written before the dispatch core became the only path)
+    loads, folds, renders and resumes like a current one."""
+    from repro.obs.runner import (
+        runner_chrome_trace,
+        timeline_from_journal,
+        validate_runner_trace,
+    )
+    from repro.runner import expand_request
+
+    cache = ResultCache(str(tmp_path / "cache"))
+    requests = [
+        ExperimentRequest.make("sleep", {"wall_s": 0.0, "tag": f"t{i}"}, i)
+        for i in range(4)
+    ]
+    ids = [cell.cell_id for req in requests for _role, cell in expand_request(req)]
+    cells, done = sorted(ids), sorted(ids[:2])
+    # the first two cells finished (and hit the cache) before the kill.
+    ExperimentRunner(cache=cache, parallel=1).run(requests[:2])
+    path = str(tmp_path / "journal.jsonl")
+    start = {
+        "rec": "start",
+        "executor": "inprocess",
+        "dispatch": "core",
+        "parallel": 1,
+        "n_cells": 4,
+    }
+    lines = [
+        start,
+        *({"rec": "plan", "cell": c} for c in cells),
+        *({"rec": "done", "cell": c, "compute_s": 0.01} for c in done),
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in lines:
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+
+    records = SweepJournal.load(path)
+    assert records == lines
+    stats = SweepJournal.stats_of(records)
+    assert stats.planned == tuple(cells)
+    assert sorted(stats.done) == done
+    assert sorted(stats.unfinished) == sorted(set(cells) - set(done))
+    assert not stats.ended
+    snap = timeline_from_journal(records)
+    assert snap["spans"]
+    assert validate_runner_trace(runner_chrome_trace(snap)) == []
+
+    resumed = ExperimentRunner(
+        cache=cache, parallel=1, journal=path, resume=True
+    ).run(requests)
+    reference = ExperimentRunner(parallel=1).run(requests)
+    assert resumed.merged_bytes() == reference.merged_bytes()
+    assert resumed.n_cell_runs == 2, "only the two unfinished cells compute"
+    after = SweepJournal.load(path)
+    (resume_rec,) = [r for r in after if r["rec"] == "resume"]
+    assert resume_rec["recovered"] == resume_rec["prior_done"] == 2
+    new_done = [r["cell"] for r in after[len(lines) :] if r["rec"] == "done"]
+    assert sorted(new_done) == sorted(set(cells) - set(done))
 
 
 # -- crash-safe resume after SIGKILL -------------------------------------------
