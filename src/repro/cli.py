@@ -385,7 +385,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.runner import run_bench
+    from repro.runner.bench import run_bench
 
     # --quick: CI mode.  Cells keep the committed baseline's duration so
     # BENCH_runner.json stays an apples-to-apples reference (shorter cells

@@ -24,7 +24,8 @@ The layers, bottom up:
   aggregation together with deterministic (byte-identical across
   executors) merging;
 * :mod:`repro.runner.bench` — the ``repro bench`` harness emitting
-  ``BENCH_runner.json``.
+  ``BENCH_runner.json``.  It is not re-exported here: workers and the
+  cluster sweep import this package, and never run the harness.
 """
 
 from repro.runner.cells import Cell, execute_cell, latency_summary
@@ -57,14 +58,6 @@ from repro.runner.runner import (
     ExperimentRunner,
     RunReport,
 )
-from repro.runner.bench import (
-    bench_event_loop,
-    bench_fault_overhead,
-    bench_resilience_overhead,
-    bench_runner_obs_overhead,
-    bench_sweep,
-    run_bench,
-)
 
 __all__ = [
     "Cell",
@@ -94,10 +87,4 @@ __all__ = [
     "CellExecutionError",
     "ExperimentRunner",
     "RunReport",
-    "bench_event_loop",
-    "bench_fault_overhead",
-    "bench_resilience_overhead",
-    "bench_runner_obs_overhead",
-    "bench_sweep",
-    "run_bench",
 ]

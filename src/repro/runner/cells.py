@@ -15,6 +15,7 @@ verification, and be byte-comparable across runs.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -280,3 +281,18 @@ def execute_cell(cell: Cell) -> dict:
             f"unknown cell kind {cell.kind!r}; have {sorted(CELL_KINDS)}"
         ) from None
     return fn(cell.param_dict, cell.seed)
+
+
+def release_cell() -> None:
+    """Free the simulation a finished cell leaves behind.
+
+    Call once the cell's payload has been handed off and outside any
+    timed window.  A simulation is a web of reference cycles (processes,
+    events, calendars, threads, the nodes that own them), so it outlives
+    the cell until CPython's next *full* collection -- which, with the
+    default thresholds, fires only every few cells.  Until then a worker
+    carries the garbage of earlier cells and its high-water mark climbs.
+    Collected here, the mark stays at what one cell needs.
+    """
+    gc.collect()
+

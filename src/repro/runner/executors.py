@@ -39,6 +39,7 @@ forwards to the observability plane and the sweep journal.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import secrets
@@ -108,26 +109,29 @@ class ExecutorError(RuntimeError):
 
 def _execute_task(task: Task) -> Completion:
     """Run one task in the current process (shared by two executors)."""
-    from repro.runner.cells import Cell, execute_cell
+    from repro.runner.cells import Cell, execute_cell, release_cell
 
     t0 = time.perf_counter()
     w0 = time.time()
     try:
         payload = execute_cell(Cell.make(task.kind, task.params, task.seed))
     except BaseException as exc:  # noqa: BLE001 - carried to the core
-        return Completion(
+        done = Completion(
             task.task_id,
             error=exc,
             spans=_compute_span(
                 task.span_id, task.kind, w0, time.time(), "error"
             ),
         )
-    return Completion(
-        task.task_id,
-        payload=payload,
-        compute_s=time.perf_counter() - t0,
-        spans=_compute_span(task.span_id, task.kind, w0, time.time(), "ok"),
-    )
+    else:
+        done = Completion(
+            task.task_id,
+            payload=payload,
+            compute_s=time.perf_counter() - t0,
+            spans=_compute_span(task.span_id, task.kind, w0, time.time(), "ok"),
+        )
+    release_cell()
+    return done
 
 
 class _ExecutorContext:
@@ -171,17 +175,28 @@ class InProcessExecutor(_ExecutorContext):
 
 def _pool_worker(spec: tuple) -> tuple[dict, float, Optional[list]]:
     """Module-level pool body (must be picklable)."""
-    from repro.runner.cells import Cell, execute_cell
+    from repro.runner.cells import Cell, execute_cell, release_cell
 
     kind, params, seed, span_id = spec
     t0 = time.perf_counter()
     w0 = time.time()
     payload = execute_cell(Cell.make(kind, params, seed))
-    return (
-        payload,
-        time.perf_counter() - t0,
-        _compute_span(span_id, kind, w0, time.time(), "ok"),
-    )
+    compute_s = time.perf_counter() - t0
+    spans = _compute_span(span_id, kind, w0, time.time(), "ok")
+    # the payload is plain data; what the cell built is garbage by now
+    release_cell()
+    return payload, compute_s, spans
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers freeze their inherited heap at start.
+
+    ``gc.freeze`` splices the generation lists instead of visiting
+    objects, so the collector never walks (and copies on write) the heap
+    a forked worker inherits, and each ``release_cell`` walks only the
+    cell's own objects.
+    """
+    return ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
 
 
 class PoolExecutor(_ExecutorContext):
@@ -216,7 +231,7 @@ class PoolExecutor(_ExecutorContext):
         )
         self._dead = False
         self._lost: list[Completion] = []  # submits after pool death
-        self._pool = ProcessPoolExecutor(max_workers=parallel)
+        self._pool = _new_pool(parallel)
         self._futures: dict = {}  # future -> task_id
 
     def _emit(self, name: str, **fields) -> None:
@@ -279,7 +294,7 @@ class PoolExecutor(_ExecutorContext):
             self._pool.shutdown(wait=False, cancel_futures=True)
             if self._rebuilds_left > 0:
                 self._rebuilds_left -= 1
-                self._pool = ProcessPoolExecutor(max_workers=self.capacity)
+                self._pool = _new_pool(self.capacity)
                 self._emit(
                     "pool_rebuild",
                     drained=len(out),

@@ -7,7 +7,11 @@ in a task loop: receive a cell spec, compute it with
 :func:`repro.runner.cells.execute_cell`, send the payload back.  The
 parent never trusts a worker with anything but cell specs, and a worker
 never holds state between tasks -- killing one mid-cell loses nothing
-but the in-flight computation, which the parent requeues.
+but the in-flight computation, which the parent requeues.  That holds
+for memory too: once a reply is on the wire the worker frees the cell's
+simulation (:func:`~repro.runner.cells.release_cell`), and the objects
+of its imports are frozen out of the collector (``gc.freeze``) at
+start-up.
 
 Wire protocol
 -------------
@@ -51,6 +55,7 @@ exercised end to end rather than simulated.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import socket
@@ -234,6 +239,8 @@ def serve(
     worker_index: int = 0,
 ) -> int:
     """Connect back to the parent and run the task loop until shutdown."""
+    from repro.runner.cells import release_cell
+
     chaos = None
     if faults:
         from repro.faults.plan import FaultPlan
@@ -277,10 +284,12 @@ def serve(
                     _send_truncated(sock, reply)
                     os._exit(9)  # die mid-frame: the parent sees torn EOF
                 if "frame_garbage" in actions:
+                    # the parent buries us for the violation
                     garbage = b"\xff not json \xff"
                     sock.sendall(_LEN.pack(len(garbage)) + garbage)
-                    continue  # the parent buries us for the violation
-                send_frame(sock, reply)
+                else:
+                    send_frame(sock, reply)
+            release_cell()
     finally:
         pinger.stop()
         sock.close()
@@ -301,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     faults = json.loads(args.faults) if args.faults else None
+    # the worker's imports live as long as the process; frozen, they stay
+    # out of the collection each release_cell makes
+    gc.freeze()
     try:
         return serve(
             host,

@@ -4,6 +4,11 @@
 (e.g. a logical CPU with capacity 1).  Requests are granted strictly in
 FIFO order, which is what makes quantum-by-quantum CPU sharing in
 :mod:`repro.oskernel` behave as round-robin.
+
+Every logical CPU of a simulated node is one :class:`Resource`, so a
+1,000-node sweep holds about 17,000 of them.  The class therefore
+has ``__slots__`` and creates its wait queue only when a claimant finds
+every slot taken: an lcpu nobody waits on never pays for a ``deque``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ class Request(Event):
 class Resource:
     """A FIFO resource with integer capacity."""
 
+    __slots__ = ("env", "capacity", "name", "_users", "_queue")
+
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity < 1:
             raise SimulationError(f"capacity must be >= 1, got {capacity}")
@@ -51,7 +58,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: list[Request] = []
-        self._queue: deque[Request] = deque()
+        #: waiting requests; None until the first claimant has to wait.
+        self._queue: deque[Request] | None = None
 
     @property
     def count(self) -> int:
@@ -60,7 +68,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        queue = self._queue
+        return len(queue) if queue is not None else 0
 
     def request(self, tag: Any = None) -> Request:
         return Request(self, tag)
@@ -82,17 +91,27 @@ class Resource:
     # -- internals ---------------------------------------------------------
 
     def _admit(self, request: Request) -> None:
-        self._queue.append(request)
-        self._grant_next()
+        # Requests wait only while every slot is held, so a free slot
+        # means nobody is ahead of the newcomer.
+        if len(self._users) < self.capacity:
+            self._users.append(request)
+            request.succeed(request)
+        elif self._queue is None:
+            self._queue = deque((request,))
+        else:
+            self._queue.append(request)
 
     def _cancel(self, request: Request) -> None:
+        if self._queue is None:
+            return
         try:
             self._queue.remove(request)
         except ValueError:
             pass
 
     def _grant_next(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            req = self._queue.popleft()
+        queue = self._queue
+        while queue and len(self._users) < self.capacity:
+            req = queue.popleft()
             self._users.append(req)
             req.succeed(req)
