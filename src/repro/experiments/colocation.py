@@ -227,14 +227,9 @@ def run_colocation(
             )
         obs_snapshot = plane.snapshot()
         if tracer is not None:
-            a = tracer.arrays()
             obs_snapshot["quanta"] = {
-                "lcpu": [int(v) for v in a["lcpu"]],
-                "tid": [int(v) for v in a["tid"]],
-                "is_mem": [bool(v) for v in a["is_mem"]],
-                "start": [float(v) for v in a["start"]],
-                "duration": [float(v) for v in a["duration"]],
-                "dropped": int(tracer.dropped),
+                **tracer.lists(),
+                "dropped": tracer.dropped,
             }
 
     return CoLocationResult(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,20 +20,25 @@ class QueryRecord:
 
 
 class LatencyRecorder:
-    """Accumulates per-query latencies and provides the paper's statistics."""
+    """Accumulates per-query latencies and provides the paper's statistics.
+
+    Submit times and latencies are unboxed ``array('d')`` columns.  The
+    accessors return copies: a numpy view of a live column would pin its
+    buffer, and the next :meth:`record` would raise ``BufferError``.
+    """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._submit: list[float] = []
-        self._latency: list[float] = []
+        self._submit = array("d")
+        self._latency = array("d")
         self._op: list[str] = []
 
     def __len__(self) -> int:
         return len(self._latency)
 
     def record(self, submit_time: float, latency_us: float, op: str = "") -> None:
-        if latency_us < 0:
-            raise ValueError(f"negative latency: {latency_us}")
+        if not 0 <= latency_us < math.inf:
+            raise ValueError(f"latency must be finite and >= 0: {latency_us}")
         self._submit.append(submit_time)
         self._latency.append(latency_us)
         self._op.append(op)
@@ -40,14 +47,14 @@ class LatencyRecorder:
 
     def latencies(self, op: Optional[str] = None) -> np.ndarray:
         if op is None:
-            return np.asarray(self._latency, dtype=np.float64)
-        return np.asarray(
+            return np.array(self._latency, dtype=np.float64)
+        return np.array(
             [l for l, o in zip(self._latency, self._op) if o == op],
             dtype=np.float64,
         )
 
     def submit_times(self) -> np.ndarray:
-        return np.asarray(self._submit, dtype=np.float64)
+        return np.array(self._submit, dtype=np.float64)
 
     def records(self) -> list[QueryRecord]:
         return [

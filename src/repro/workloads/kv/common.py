@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -39,6 +40,53 @@ class ServiceCosts:
 
     def with_overrides(self, **kwargs) -> "ServiceCosts":
         return replace(self, **kwargs)
+
+
+class KeySpace:
+    """The key -> value-size map of a preloaded in-memory store.
+
+    Timing reads only key membership, so the ``n_keys`` preloaded records
+    are the implicit ``range(n_keys)``, each of ``value_bytes``, rather
+    than one dict entry per key.  ``_written`` holds only the keys an
+    update or insert wrote, and ``_extra`` the written keys outside the
+    range, sorted lazily when a scan needs them.  Keys are ints.
+    """
+
+    __slots__ = ("n_keys", "value_bytes", "_written", "_extra", "_extra_dirty")
+
+    def __init__(self, n_keys: int, value_bytes: int):
+        self.n_keys = n_keys
+        self.value_bytes = value_bytes
+        self._written: dict[int, int] = {}
+        self._extra: list[int] = []
+        self._extra_dirty = False
+
+    def __contains__(self, key: int) -> bool:
+        return 0 <= key < self.n_keys or key in self._written
+
+    def __len__(self) -> int:
+        return self.n_keys + len(self._extra)
+
+    def get(self, key: int) -> Optional[int]:
+        preloaded = self.value_bytes if 0 <= key < self.n_keys else None
+        return self._written.get(key, preloaded)
+
+    def put(self, key: int, value_bytes: int) -> None:
+        if key not in self:
+            self._extra.append(key)
+            self._extra_dirty = True
+        self._written[key] = value_bytes
+
+    def scan_count(self, start_key: int, scan_len: int) -> int:
+        """Number of records a scan from ``start_key`` returns: the keys
+        ``>= start_key``, at most ``scan_len`` of them."""
+        if self._extra_dirty:
+            self._extra.sort()
+            self._extra_dirty = False
+        n = self.n_keys
+        in_range = n - min(max(start_key, 0), n)
+        beyond = len(self._extra) - bisect.bisect_left(self._extra, start_key)
+        return min(scan_len, in_range + beyond)
 
 
 class KVService:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.hw.ops import CompOp, MemOp
 from repro.oskernel import SimThread
-from repro.workloads.kv.common import KVService, ServiceCosts
+from repro.workloads.kv.common import KeySpace, KVService, ServiceCosts
 from repro.ycsb.workloads import Query
 
 
@@ -27,7 +27,7 @@ class MemcachedService(KVService):
     )
 
     def _load_data(self) -> None:
-        self._data: dict[int, int] = {k: self.value_bytes for k in range(self.n_keys)}
+        self._keys = KeySpace(self.n_keys, self.value_bytes)
         self.hits = 0
         self.misses = 0
 
@@ -35,7 +35,7 @@ class MemcachedService(KVService):
         c = self.costs
         if query.op == "read":
             yield from thread.exec(CompOp(cycles=c.read_cycles))
-            if query.key in self._data:
+            if query.key in self._keys:
                 self.hits += 1
                 lines = c.read_lines
             else:
@@ -51,12 +51,12 @@ class MemcachedService(KVService):
                     store_frac=0.5,
                 )
             )
-            self._data[query.key] = query.value_bytes
+            self._keys.put(query.key, query.value_bytes)
         else:
             raise ValueError(f"memcached cannot serve op {query.op!r}")
 
     def get(self, key: int):
-        return self._data.get(key)
+        return self._keys.get(key)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._keys)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.hw.ops import CompOp, MemOp
 from repro.oskernel import SimThread
-from repro.workloads.kv.common import KVService, ServiceCosts
+from repro.workloads.kv.common import KeySpace, KVService, ServiceCosts
 from repro.ycsb.workloads import Query
 
 
@@ -32,11 +32,7 @@ class RedisService(KVService):
     )
 
     def _load_data(self) -> None:
-        # key -> value size; the value payload itself is irrelevant to
-        # timing, so store sizes rather than megabytes of bytes objects.
-        self._data: dict[int, int] = {k: self.value_bytes for k in range(self.n_keys)}
-        self._sorted_dirty = True
-        self._sorted_keys: list[int] = []
+        self._keys = KeySpace(self.n_keys, self.value_bytes)
 
     # -- operations ------------------------------------------------------------
 
@@ -44,7 +40,7 @@ class RedisService(KVService):
         c = self.costs
         if query.op == "read":
             yield from thread.exec(CompOp(cycles=c.read_cycles))
-            hit = query.key in self._data
+            hit = query.key in self._keys
             lines = c.read_lines if hit else c.read_lines // 3
             yield from thread.exec(MemOp(lines=lines, dram_frac=c.read_dram_frac))
         elif query.op in ("update", "insert"):
@@ -56,12 +52,10 @@ class RedisService(KVService):
                     store_frac=0.5,
                 )
             )
-            if query.key not in self._data:
-                self._sorted_dirty = True
-            self._data[query.key] = query.value_bytes
+            self._keys.put(query.key, query.value_bytes)
         elif query.op == "scan":
             yield from thread.exec(CompOp(cycles=c.read_cycles))
-            n = self._scan_count(query.key, query.scan_len)
+            n = self._keys.scan_count(query.key, query.scan_len)
             for _ in range(max(1, n)):
                 yield from thread.exec(
                     MemOp(lines=c.scan_lines_per_rec, dram_frac=c.scan_dram_frac)
@@ -70,19 +64,9 @@ class RedisService(KVService):
         else:
             raise ValueError(f"unknown op {query.op!r}")
 
-    def _scan_count(self, start_key: int, scan_len: int) -> int:
-        """Number of records a scan starting at ``start_key`` returns."""
-        import bisect
-
-        if self._sorted_dirty:
-            self._sorted_keys = sorted(self._data)
-            self._sorted_dirty = False
-        i = bisect.bisect_left(self._sorted_keys, start_key)
-        return min(scan_len, len(self._sorted_keys) - i)
-
     def get(self, key: int):
         """Direct (un-timed) lookup, for tests and tooling."""
-        return self._data.get(key)
+        return self._keys.get(key)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._keys)

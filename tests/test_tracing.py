@@ -1,5 +1,8 @@
 """Tests for the execution-tracing subsystem."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.hw import CompOp, HWConfig, MemOp
@@ -269,3 +272,78 @@ def test_gantt_with_gaps():
         i for i in range(busy[0], busy[-1]) if row[i] == "."
     ]
     assert idle_between  # gap sits between the two bursts
+
+
+#: (lcpu, tid, kind, start, duration) quanta fed straight to the hook.
+QUANTA = [
+    (0, 7, "mem", 0.0, 2.5),
+    (1, 8, "comp", 1.0, 4.0),
+    (0, 7, "comp", 2.5, 1.25),
+    (3, 9, "mem", 6.0, 0.5),
+]
+
+
+def _fed_tracer(quanta=QUANTA, **kwargs):
+    tracer = ExecutionTracer(small_system(), **kwargs)
+    for q in quanta:
+        tracer._record(*q)
+    return tracer
+
+
+def test_tracer_records_round_trip_kinds_and_filters():
+    tracer = _fed_tracer()
+    recs = tracer.records()
+    assert [(r.lcpu, r.tid, r.kind, r.start, r.duration) for r in recs] == QUANTA
+    assert {r.kind for r in recs} == {"mem", "comp"}
+    assert all(type(r.lcpu) is int and type(r.tid) is int for r in recs)
+    assert [r.start for r in tracer.records(lcpu=0)] == [0.0, 2.5]
+    assert [r.lcpu for r in tracer.records(tid=8)] == [1]
+    assert [r.start for r in tracer.records(t0=1.0, t1=6.0)] == [1.0, 2.5]
+
+
+def test_tracer_arrays_and_lists_are_copies_of_the_columns():
+    tracer = _fed_tracer()
+    a = tracer.arrays()
+    assert a["lcpu"].dtype == np.int64 and a["tid"].dtype == np.int64
+    assert a["is_mem"].dtype == bool
+    assert a["start"].dtype == np.float64 and a["duration"].dtype == np.float64
+    assert a["is_mem"].tolist() == [True, False, False, True]
+    cols = tracer.lists()
+    assert cols == {
+        "lcpu": [0, 1, 0, 3],
+        "tid": [7, 8, 7, 9],
+        "is_mem": [True, False, False, True],
+        "start": [0.0, 1.0, 2.5, 6.0],
+        "duration": [2.5, 4.0, 1.25, 0.5],
+    }
+    assert {type(v) for v in cols["is_mem"]} == {bool}
+    assert {type(v) for v in cols["start"] + cols["duration"]} == {float}
+    # a held export does not pin the columns
+    tracer._record(2, 10, "comp", 7.0, 1.0)
+    assert len(a["lcpu"]) == 4 and len(tracer) == 5
+    assert tracer.busy_time(0) == 3.75
+    assert tracer.busy_time(2) == 1.0
+    assert tracer.busy_time(5) == 0.0
+
+
+def test_tracer_drop_count_past_max_records():
+    tracer = _fed_tracer(QUANTA * 6, max_records=10)
+    assert len(tracer) == 10
+    assert tracer.dropped == 14
+    assert len(tracer.records()) == 10
+
+
+def test_tracer_holds_at_most_48_bytes_per_quantum():
+    n = 10_000
+    tracer = ExecutionTracer(small_system())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            tracer._record(i % 32, 1000 + i % 7, "mem" if i & 1 else "comp",
+                           i * 5.0, 1.0 + (i % 13) * 0.25)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tracer) == n
+    assert held / n <= 48, f"{held / n:.1f} B per quantum"
