@@ -385,7 +385,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.runner.bench import run_bench
+    from repro.runner.bench import identity_failures, run_bench
 
     # --quick: CI mode.  Cells keep the committed baseline's duration so
     # BENCH_runner.json stays an apples-to-apples reference (shorter cells
@@ -407,7 +407,6 @@ def cmd_bench(args) -> int:
         kernel=not args.no_kernel,
         cluster=not args.no_cluster,
         dispatch=not args.no_dispatch,
-        profile=args.profile,
     )
     sweep = record["sweep"]
     rows = [
@@ -416,7 +415,6 @@ def cmd_bench(args) -> int:
         ["speedup", round(sweep["speedup"], 2)],
         ["serial cell runs", sweep["serial_cell_runs"]],
         ["parallel cell runs", sweep["parallel_cell_runs"]],
-        ["merged results identical", str(sweep["identical_merged_results"])],
     ]
     if sweep.get("cache"):
         cs = sweep["cache"]
@@ -425,62 +423,29 @@ def cmd_bench(args) -> int:
             f"{cs.get('hits', 0)}/{cs.get('misses', 0)}/"
             f"{cs.get('corrupted', 0)}/{cs.get('writes', 0)}",
         ])
-    if "runner_obs_overhead" in record:
-        roo = record["runner_obs_overhead"]
-        rows += [
-            ["runner telemetry off",
-             f"{roo['disabled_ratio']:.3f}x (gate <= 1.05x)"],
-            ["runner telemetry on", f"{roo['enabled_ratio']:.3f}x"],
-        ]
-    if "event_loop" in record:
-        loop = record["event_loop"]
-        rows += [
-            ["event loop heap ev/s", int(loop["heap"]["events_per_sec"])],
-            ["event loop wheel ev/s", int(loop["wheel"]["events_per_sec"])],
-            ["wheel vs heap", round(loop["wheel_vs_heap"], 2)],
-        ]
-    if "cluster" in record:
-        cl = record["cluster"]
-        rows += [
-            ["cluster heap wall (s)", round(cl["heap_wall_s"], 2)],
-            ["cluster wheel wall (s)", round(cl["wheel_wall_s"], 2)],
-            ["cluster reports identical", str(cl["identical_reports"])],
-        ]
+    ratios = [
+        ("runner telemetry off", "runner_obs_overhead", "disabled_ratio"),
+        ("runner telemetry on", "runner_obs_overhead", "enabled_ratio"),
+        ("event loop wheel vs heap", "event_loop", "wheel_vs_heap"),
+        ("cluster plane vectorized vs scalar", "cluster_rate",
+         "vectorized_vs_scalar"),
+    ]
+    for label, section, key in ratios:
+        if record.get(section, {}).get(key) is not None:
+            rows.append([label, f"{record[section][key]:.3f}x"])
     if "dispatch_core" in record:
         dc = record["dispatch_core"]
-        mix = dc["skewed_mix"]
         rows += [
             ["dispatch workers", dc["effective_workers"]],
-            ["skewed mix shortest-first wall (s)",
-             round(mix["shortest_first_wall_s"], 2)],
-            ["skewed mix core wall (s)", round(mix["core_wall_s"], 2)],
-            ["skewed mix speedup", round(mix["speedup"], 2)],
-            ["skewed mix identical", str(mix["identical_merged_results"])],
-            ["sharded sweep identical",
-             str(dc["sharded_sweep"]["identical_merged_results"])],
+            ["skewed mix speedup", round(dc["skewed_mix"]["speedup"], 2)],
         ]
+    failed = identity_failures(record)
+    rows.append(["identity flags false", ", ".join(failed) or "none"])
     print(format_table(["metric", "value"], rows))
-    if "profile_report" in record:
-        print(f"profile report: {record['profile_report']}")
     print(f"wrote {args.output}")
-    failed = not sweep["identical_merged_results"]
-    if failed:
-        print("ERROR: serial and parallel merged results differ",
+    for flag in failed:
+        print(f"ERROR: {flag} is false: the arms' outputs differ",
               file=sys.stderr)
-    if "cluster" in record and not record["cluster"]["identical_reports"]:
-        print("ERROR: cluster sweep reports differ across kernels",
-              file=sys.stderr)
-        failed = True
-    if "dispatch_core" in record:
-        dc = record["dispatch_core"]
-        if not dc["skewed_mix"]["identical_merged_results"]:
-            print("ERROR: shortest-first and longest-first dispatch "
-                  "merged results differ", file=sys.stderr)
-            failed = True
-        if not dc["sharded_sweep"]["identical_merged_results"]:
-            print("ERROR: sharded sweep merged results differ across "
-                  "executors", file=sys.stderr)
-            failed = True
     return 1 if failed else 0
 
 
@@ -785,13 +750,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-kernel", action="store_true",
                    help="skip the kernel (heap vs wheel) microbenches")
     p.add_argument("--no-cluster", action="store_true",
-                   help="skip the 100-node cluster sweep bench")
+                   help="skip the 100-node cluster data-plane and sweep "
+                        "bench")
     p.add_argument("--no-dispatch", action="store_true",
                    help="skip the dispatch-core skewed-mix and sharded "
                         "1,000-node executor benches")
-    p.add_argument("--profile", action="store_true",
-                   help="also write a cProfile report of the event-loop "
-                        "hot path (both kernels) next to --output")
 
     p = sub.add_parser(
         "cluster",
