@@ -9,6 +9,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.percentile import percentile
+
 
 def _to_jsonable(obj: Any) -> Any:
     """Recursively convert results (dataclasses, arrays, ...) to JSON types."""
@@ -37,9 +39,9 @@ def _to_jsonable(obj: Any) -> Any:
         return {
             "count": int(lat.size),
             "mean": float(lat.mean()),
-            "p50": float(np.percentile(lat, 50)),
-            "p90": float(np.percentile(lat, 90)),
-            "p99": float(np.percentile(lat, 99)),
+            "p50": float(percentile(lat, 50)),
+            "p90": float(percentile(lat, 90)),
+            "p99": float(percentile(lat, 99)),
             "max": float(lat.max()),
         }
     raise TypeError(f"cannot export {type(obj).__name__} to JSON")

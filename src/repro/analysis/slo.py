@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.percentile import percentile
+
 
 def slo_from_alone(alone_latencies) -> float:
     """SLO threshold: the Alone run's p90 latency."""
     lat = np.asarray(alone_latencies, dtype=np.float64)
     if lat.size == 0:
         raise ValueError("no Alone latencies to derive an SLO from")
-    return float(np.percentile(lat, 90.0))
+    return float(percentile(lat, 90.0))
 
 
 def violation_ratio(latencies, slo_us: float) -> float:

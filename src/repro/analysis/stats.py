@@ -6,6 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.percentile import percentile
+
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson's correlation coefficient (the Table 1 'Corr' column)."""
@@ -50,7 +52,7 @@ def bootstrap_ci(
     idx = rng.integers(0, data.size, size=(n_resamples, data.size))
     stats = np.apply_along_axis(stat, 1, data[idx])
     alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
+    lo, hi = percentile(stats, [100 * alpha, 100 * (1 - alpha)])
     return float(lo), float(hi)
 
 
@@ -61,5 +63,5 @@ def percentile_summary(latencies, qs=(50.0, 70.0, 80.0, 90.0, 99.0)) -> dict:
         return {"mean": float("nan"), **{f"p{q:g}": float("nan") for q in qs}}
     out = {"mean": float(lat.mean())}
     for q in qs:
-        out[f"p{q:g}"] = float(np.percentile(lat, q))
+        out[f"p{q:g}"] = float(percentile(lat, q))
     return out

@@ -29,6 +29,7 @@ from repro.cluster.scheduler import ClusterBatchScheduler
 from repro.cluster.score import ScoreWeights
 from repro.core import HolmesConfig
 from repro.faults import FaultPlan, start_cluster_drivers
+from repro.percentile import percentile
 from repro.runner.cells import latency_summary
 
 #: default per-node daemon (telemetry) interval at cluster scale.
@@ -45,7 +46,7 @@ def _summary(values: list[float]) -> dict:
     return {
         "count": int(arr.size),
         "mean_us": float(arr.mean()),
-        "p99_us": float(np.percentile(arr, 99)),
+        "p99_us": float(percentile(arr, 99)),
         "max_us": float(arr.max()),
     }
 
@@ -169,7 +170,7 @@ def run_cluster_sweep(
     nominal_us = churn.lc_request_lines * hw_cfg.dram_line_latency_us
     slo_us = slo_multiplier * nominal_us
     per_node_p99 = [
-        float(np.percentile(a, 99)) for a in lat_arrays if a.size
+        float(percentile(a, 99)) for a in lat_arrays if a.size
     ]
 
     # -- batch outcomes --------------------------------------------------

@@ -24,67 +24,65 @@ The layers, bottom up:
   aggregation together with deterministic (byte-identical across
   executors) merging;
 * :mod:`repro.runner.bench` — the ``repro bench`` harness emitting
-  ``BENCH_runner.json``.  It is not re-exported here: workers and the
-  cluster sweep import this package, and never run the harness.
+  ``BENCH_runner.json``.  It is not in ``__all__``; import it as a
+  submodule.
+
+The public names below resolve lazily (PEP 562): ``from repro.runner
+import ExperimentRunner`` imports :mod:`repro.runner.runner` on first
+use, and ``import repro.runner`` alone imports no submodule.  That keeps
+a cell process lean.  A socket worker (:mod:`repro.runner.worker`) and
+the cluster sweep (which imports :func:`latency_summary` from
+:mod:`repro.runner.cells`) pass through this package, and they never run
+the executors, the dispatch core, the cache, the resilience layer or
+the harness, nor the ``multiprocessing`` and ``repro.analysis`` stacks
+those pull in.
 """
 
-from repro.runner.cells import Cell, execute_cell, latency_summary
-from repro.runner.cache import ResultCache, cell_key, code_fingerprint
-from repro.runner.aggregate import (
-    EXPERIMENTS,
-    ExperimentRequest,
-    expand_request,
-    aggregate_request,
-)
-from repro.runner.dispatch import CostModel, DispatchCore
-from repro.runner.executors import (
-    EXECUTORS,
-    Completion,
-    ExecutorError,
-    InProcessExecutor,
-    PoolExecutor,
-    SocketExecutor,
-    Task,
-    make_executor,
-)
-from repro.runner.resilience import (
-    ChaosExecutor,
-    ChaosFault,
-    RetryPolicy,
-    SweepJournal,
-)
-from repro.runner.runner import (
-    CellExecutionError,
-    ExperimentRunner,
-    RunReport,
-)
+import importlib
 
-__all__ = [
-    "Cell",
-    "execute_cell",
-    "latency_summary",
-    "ResultCache",
-    "cell_key",
-    "code_fingerprint",
-    "EXPERIMENTS",
-    "ExperimentRequest",
-    "expand_request",
-    "aggregate_request",
-    "CostModel",
-    "DispatchCore",
-    "EXECUTORS",
-    "Completion",
-    "ExecutorError",
-    "InProcessExecutor",
-    "PoolExecutor",
-    "SocketExecutor",
-    "Task",
-    "make_executor",
-    "ChaosExecutor",
-    "ChaosFault",
-    "RetryPolicy",
-    "SweepJournal",
-    "CellExecutionError",
-    "ExperimentRunner",
-    "RunReport",
-]
+#: public name -> the submodule that defines it.
+_EXPORTS = {
+    "Cell": "cells",
+    "execute_cell": "cells",
+    "latency_summary": "cells",
+    "ResultCache": "cache",
+    "cell_key": "cache",
+    "code_fingerprint": "cache",
+    "EXPERIMENTS": "aggregate",
+    "ExperimentRequest": "aggregate",
+    "expand_request": "aggregate",
+    "aggregate_request": "aggregate",
+    "CostModel": "dispatch",
+    "DispatchCore": "dispatch",
+    "EXECUTORS": "executors",
+    "Completion": "executors",
+    "ExecutorError": "executors",
+    "InProcessExecutor": "executors",
+    "PoolExecutor": "executors",
+    "SocketExecutor": "executors",
+    "Task": "executors",
+    "make_executor": "executors",
+    "ChaosExecutor": "resilience",
+    "ChaosFault": "resilience",
+    "RetryPolicy": "resilience",
+    "SweepJournal": "resilience",
+    "CellExecutionError": "runner",
+    "ExperimentRunner": "runner",
+    "RunReport": "runner",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

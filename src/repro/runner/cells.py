@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.percentile import percentile
+
 #: default simulated horizon of a cell (microseconds); kept configurable
 #: per-cell so sweeps and tests can trade fidelity for wall-clock.
 DEFAULT_DURATION_US = 400_000.0
@@ -63,7 +65,7 @@ def latency_summary(latencies: np.ndarray) -> dict:
     lat = np.asarray(latencies, dtype=np.float64)
     if lat.size == 0:
         return {"count": 0, "mean": None, "quantiles": []}
-    q = np.percentile(lat, QUANTILE_GRID)
+    q = percentile(lat, QUANTILE_GRID)
     return {
         "count": int(lat.size),
         "mean": float(lat.mean()),

@@ -9,9 +9,17 @@ parent never trusts a worker with anything but cell specs, and a worker
 never holds state between tasks -- killing one mid-cell loses nothing
 but the in-flight computation, which the parent requeues.  That holds
 for memory too: once a reply is on the wire the worker frees the cell's
-simulation (:func:`~repro.runner.cells.release_cell`), and the objects
-of its imports are frozen out of the collector (``gc.freeze``) at
-start-up.
+simulation (:func:`~repro.runner.cells.release_cell`).
+
+A worker started through :func:`main` also freezes its heap out of the
+collector (``gc.freeze``), once, right after the first cell's release.
+Imports are lazy, so at start-up the worker holds little more than this
+module; the sim, hw, oskernel, workload and cluster modules arrive with
+the first cell.  Frozen after it, they stay out of the full collection
+each later ``release_cell`` makes, and nothing of the first cell's
+simulation is frozen, because that collection has just freed it.
+:func:`serve` called directly (an in-process loop, as in the tests)
+never freezes: its host's heap must stay collectable.
 
 Wire protocol
 -------------
@@ -237,8 +245,13 @@ def serve(
     token: str,
     faults: dict | None = None,
     worker_index: int = 0,
+    freeze: bool = False,
 ) -> int:
-    """Connect back to the parent and run the task loop until shutdown."""
+    """Connect back to the parent and run the task loop until shutdown.
+
+    With ``freeze`` the heap is frozen once, after the first cell's
+    release (see the module docstring).
+    """
     from repro.runner.cells import release_cell
 
     chaos = None
@@ -290,6 +303,9 @@ def serve(
                 else:
                     send_frame(sock, reply)
             release_cell()
+            if freeze:
+                gc.freeze()
+                freeze = False
     finally:
         pinger.stop()
         sock.close()
@@ -310,9 +326,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     faults = json.loads(args.faults) if args.faults else None
-    # the worker's imports live as long as the process; frozen, they stay
-    # out of the collection each release_cell makes
-    gc.freeze()
     try:
         return serve(
             host,
@@ -320,6 +333,7 @@ def main(argv: list[str] | None = None) -> int:
             args.token,
             faults=faults,
             worker_index=args.worker_index,
+            freeze=True,
         )
     except (ConnectionError, OSError):
         # the parent vanished; there is nobody left to report to.

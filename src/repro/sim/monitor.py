@@ -6,6 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.percentile import percentile
 from repro.sim.core import Environment, RecurringTimeout
 
 
@@ -40,7 +41,7 @@ class Series:
     def percentile(self, q: float) -> float:
         if not self._values:
             return float("nan")
-        return float(np.percentile(self._values, q))
+        return float(percentile(self._values, q))
 
     def window_mean(self, t0: float, t1: float) -> float:
         """Mean of samples with t0 <= time < t1."""

@@ -9,6 +9,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.percentile import percentile
+
 
 @dataclass
 class QueryRecord:
@@ -70,7 +72,7 @@ class LatencyRecorder:
 
     def percentile(self, q: float, op: Optional[str] = None) -> float:
         lat = self.latencies(op)
-        return float(np.percentile(lat, q)) if lat.size else float("nan")
+        return float(percentile(lat, q)) if lat.size else float("nan")
 
     def p99(self, op: Optional[str] = None) -> float:
         return self.percentile(99.0, op)

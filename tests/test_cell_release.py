@@ -9,6 +9,10 @@ next task starts, and a follow-up collection must find none of the
 cell's objects.  They drive the in-process ``_execute_task`` path, the
 ``_pool_worker`` body and the socket worker's task loop, each in this
 process so the weakrefs can see the objects.
+
+A socket worker started through ``main`` also freezes its heap once,
+after the first cell's release, when the cell stack is imported; the
+freeze tests pin that order and that ``serve`` alone never freezes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.cluster.cluster import Cluster
 from repro.oskernel.system import System
 from repro.runner import cells
 from repro.runner.executors import Task, _execute_task, _pool_worker
-from repro.runner.worker import recv_frame, send_frame, serve
+from repro.runner.worker import main, recv_frame, send_frame, serve
 
 #: a cluster cell small enough to run in well under a second.
 PARAMS = {
@@ -133,3 +137,72 @@ def test_socket_task_loop_frees_each_cell_after_its_reply(tracker):
             loop.join(timeout=30)
     assert not loop.is_alive()
     _assert_released(tracker)
+
+
+def _drive(target, n_tasks: int) -> list[dict]:
+    """Run a worker loop in a thread through ``n_tasks`` sleep cells."""
+    replies = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+        loop = threading.Thread(target=target, args=(port,), daemon=True)
+        loop.start()
+        conn, _ = listener.accept()
+        with conn:
+            assert recv_frame(conn)["type"] == "hello"
+            for i in range(n_tasks):
+                task = {
+                    "type": "task",
+                    "task_id": i,
+                    "kind": "sleep",
+                    "params": {"tag": str(i)},
+                    "seed": i,
+                }
+                send_frame(conn, task)
+                reply = recv_frame(conn)
+                while reply["type"] == "ping":
+                    reply = recv_frame(conn)
+                assert reply["type"] == "result", reply
+                # held, so a second freeze would have new objects to take
+                replies.append(reply)
+            send_frame(conn, {"type": "shutdown"})
+            loop.join(timeout=30)
+    assert not loop.is_alive()
+    return replies
+
+
+@pytest.fixture
+def freeze_log(monkeypatch):
+    """Log each release (with the freeze count at entry) and each freeze."""
+    gc.unfreeze()
+    log: list[tuple[str, int]] = []
+    release, freeze = cells.release_cell, gc.freeze
+
+    def logged_release():
+        log.append(("release", gc.get_freeze_count()))
+        release()
+
+    def logged_freeze():
+        log.append(("freeze", gc.get_freeze_count()))
+        freeze()
+
+    monkeypatch.setattr(cells, "release_cell", logged_release)
+    monkeypatch.setattr(gc, "freeze", logged_freeze)
+    yield log
+    gc.unfreeze()
+
+
+def test_main_freezes_once_after_the_first_cells_release(freeze_log):
+    _drive(lambda port: main(["--connect", f"127.0.0.1:{port}", "--token", "t"]), 3)
+    events = [event for event, _ in freeze_log]
+    assert events == ["release", "freeze", "release", "release"]
+    counts = [count for _, count in freeze_log]
+    # nothing was frozen at start-up or before the first cell
+    assert counts[:2] == [0, 0]
+    assert counts[2] > 0 and counts[3] > 0
+    assert gc.get_freeze_count() > 0
+
+
+def test_serve_never_freezes(freeze_log):
+    _drive(lambda port: serve("127.0.0.1", port, "t"), 3)
+    assert freeze_log == [("release", 0)] * 3
+    assert gc.get_freeze_count() == 0
